@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Paper-pipeline benchmark: build, run, report.
 
-    python3 perfbench/run.py --workload replay_local|replay_cluster|paced_cluster \
-        --seed N --seconds S --trace 0|1
+    python3 perfbench/run.py --workload WORKLOAD --seed N --seconds S --trace 0|1
+
+WORKLOAD is replay_local, replay_cluster, paced_local, paced_cluster or
+paced_cluster_32x.
 
 Run from the root of a checkout. Builds perfbench/ against the checkout's
 src/ (Release, under .bench_build/perfbench), runs one measurement and prints
@@ -28,7 +30,8 @@ SOURCE = os.path.join(ROOT, "perfbench")
 BUILD = os.path.join(ROOT, ".bench_build", "perfbench")
 BINARY = os.path.join(BUILD, "pipeline_bench")
 RUN_TIMEOUT_S = 160
-WORKLOADS = ("replay_local", "replay_cluster", "paced_cluster")
+WORKLOADS = ("replay_local", "replay_cluster", "paced_local", "paced_cluster",
+             "paced_cluster_32x")
 # End-to-end metric -> per-layer metric holding its traced/untraced change.
 OVERHEAD = {
     "throughput_traces_per_s": "tracing.overhead.throughput_pct",
@@ -111,7 +114,11 @@ def run_once(args, trace, spans):
         cmd += ["--spans", spans]
     if args.tasks:
         cmd += ["--tasks", str(args.tasks)]
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
+    # One malloc arena: with glibc's default (up to eight per core) which
+    # threads get an arena of their own depends on timing, and the peak RSS
+    # of the same input then differs by 10-15% between runs.
+    env = dict(os.environ, MALLOC_ARENA_MAX="1")
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env,
                             start_new_session=True)
     try:
         out, _ = proc.communicate(timeout=RUN_TIMEOUT_S)

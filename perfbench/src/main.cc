@@ -1,7 +1,8 @@
 // Paper-pipeline benchmark: the Figure-8 Dublin replay in one process and on
 // two loopback worker processes.
 //
-//   pipeline_bench --workload replay_local|replay_cluster|paced_cluster
+//   pipeline_bench --workload replay_local|replay_cluster|paced_local|
+//                             paced_cluster|paced_cluster_32x
 //                  --seed N --seconds S --trace 0|1 --run-dir DIR
 //                  [--spans FILE] [--tasks K]
 //
@@ -79,14 +80,17 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   }
   return (args->workload == "replay_local" ||
           args->workload == "replay_cluster" ||
-          args->workload == "paced_cluster") &&
+          args->workload == "paced_local" ||
+          args->workload == "paced_cluster" ||
+          args->workload == "paced_cluster_32x") &&
          !args->run_dir.empty() && args->seconds > 0 && args->tasks >= 0;
 }
 
 PipelineOptions OptionsFor(const Args& args) {
   PipelineOptions o;
   o.seed = args.seed;
-  o.paced = args.workload == "paced_cluster";
+  o.paced = args.workload.rfind("paced_", 0) == 0;
+  if (args.workload == "paced_cluster_32x") o.compression = 32;
   o.run_seconds = args.seconds;
   // One Esper engine per core; one task for every other bolt, so each
   // Esper task's arrival order, and with it the detection set, is a
@@ -197,33 +201,36 @@ double Percentile(std::vector<double> v, double q) {
   return v[rank - 1];
 }
 
-/// Latency percentile of a run: the median, over the run's one-second
-/// windows (by due time), of each window's percentile. A host stall of a
-/// fraction of a second then moves one window, not the run's figure.
-/// Windows with fewer than 1000 samples (so fewer than ten beyond p99) are
-/// left out; a run with no such window falls back to all samples.
+/// Figures start this long after the first emission: the pipeline's queues
+/// and the host's caches fill first.
+constexpr int64_t kWarmupNs = 2'000'000'000;
+/// Latency percentiles are taken per window of this many samples.
+constexpr size_t kWindowSamples = 500;
+/// Throughput is taken per window of this many completions.
+constexpr size_t kThroughputWindow = 2000;
+
+/// Latency percentile of a run: the median, over consecutive windows of
+/// kWindowSamples samples (in due-time order, after the warm-up), of each
+/// window's percentile. A host stall then moves the windows it falls in,
+/// not the run's figure, and every window has five samples beyond its p99.
+/// A run with no whole window falls back to all its samples.
 double WindowedPercentile(std::vector<std::pair<int64_t, double>> samples,
-                          double q) {
+                          int64_t from_ns, double q) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
+  auto begin = std::lower_bound(samples.begin(), samples.end(),
+                                std::pair<int64_t, double>{from_ns, -1e300});
   std::vector<double> per_window;
   std::vector<double> window;
-  const int64_t t0 = samples.front().first;
-  int64_t current = 0;
-  auto close = [&] {
-    if (window.size() >= 1000) per_window.push_back(Percentile(window, q));
-    window.clear();
-  };
-  for (const auto& [due, value] : samples) {
-    const int64_t w = (due - t0) / 1'000'000'000;
-    if (w != current) {
-      close();
-      current = w;
+  for (auto it = begin; it != samples.end(); ++it) {
+    window.push_back(it->second);
+    if (window.size() == kWindowSamples) {
+      per_window.push_back(Percentile(window, q));
+      window.clear();
     }
-    window.push_back(value);
   }
-  close();
   if (per_window.empty()) {
+    window.clear();
     for (const auto& sample : samples) window.push_back(sample.second);
     return Percentile(window, q);
   }
@@ -309,24 +316,38 @@ std::vector<Metric> EndToEnd(const ProcessRecord& r, const Joined& j,
     }
   }
   const double span_s = static_cast<double>(j.last_done - j.first_emit) / 1e9;
-  {
-    std::vector<int> per_second(static_cast<size_t>(span_s) + 1, 0);
-    for (const SpoutEntry& e : r.spout) {
-      if (e.ack_ns == 0) continue;
-      ++per_second[static_cast<size_t>((Completion(j, e) - j.first_emit) / 1'000'000'000)];
-    }
-    std::printf("completions per second:");
-    for (int c : per_second) std::printf(" %d", c);
-    std::printf("\n");
+  std::vector<int> per_second(static_cast<size_t>(span_s) + 1, 0);
+  std::vector<int64_t> done;
+  for (const SpoutEntry& e : r.spout) {
+    if (e.ack_ns == 0) continue;
+    done.push_back(Completion(j, e));
+    ++per_second[static_cast<size_t>((done.back() - j.first_emit) / 1'000'000'000)];
   }
+  std::printf("completions per second:");
+  for (int c : per_second) std::printf(" %d", c);
+  std::printf("\n");
+  // Throughput: the median, over windows of kThroughputWindow consecutive
+  // completions after the warm-up, of completions / the time they took. A
+  // run without three such windows falls back to acked / span.
+  std::sort(done.begin(), done.end());
+  std::vector<double> rates;
+  auto at = std::lower_bound(done.begin(), done.end(), j.first_emit + kWarmupNs);
+  for (size_t i = static_cast<size_t>(at - done.begin());
+       i + kThroughputWindow < done.size(); i += kThroughputWindow) {
+    const int64_t took = done[i + kThroughputWindow] - done[i];
+    if (took > 0) rates.push_back(kThroughputWindow * 1e9 / static_cast<double>(took));
+  }
+  const double throughput =
+      rates.size() >= 3 ? Percentile(rates, 0.5)
+                        : (span_s > 0 ? static_cast<double>(acked) / span_s : 0);
+  const int64_t from = j.first_emit + kWarmupNs;
   return {
       {"setup_s", static_cast<double>(j.first_emit - process_start_ns) / 1e9, "s"},
-      {"throughput_traces_per_s", span_s > 0 ? static_cast<double>(acked) / span_s : 0,
-       "traces/s"},
-      {"trace_latency_p50_us", WindowedPercentile(trace_lat, 0.50), "us"},
-      {"trace_latency_p99_us", WindowedPercentile(trace_lat, 0.99), "us"},
-      {"detection_latency_p50_us", WindowedPercentile(det_lat, 0.50), "us"},
-      {"detection_latency_p99_us", WindowedPercentile(det_lat, 0.99), "us"},
+      {"throughput_traces_per_s", throughput, "traces/s"},
+      {"trace_latency_p50_us", WindowedPercentile(trace_lat, from, 0.50), "us"},
+      {"trace_latency_p99_us", WindowedPercentile(trace_lat, from, 0.99), "us"},
+      {"detection_latency_p50_us", WindowedPercentile(det_lat, from, 0.50), "us"},
+      {"detection_latency_p99_us", WindowedPercentile(det_lat, from, 0.99), "us"},
       {"peak_rss_mb", static_cast<double>(r.peak_rss_kb) / 1024.0, "MB"},
   };
 }
@@ -627,12 +648,14 @@ int Main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
                  "usage: pipeline_bench --workload replay_local|replay_cluster|"
-                 "paced_cluster --seed N --seconds S --trace 0|1 --run-dir DIR "
+                 "paced_local|paced_cluster|paced_cluster_32x --seed N --seconds S --trace 0|1 --run-dir DIR "
                  "[--spans FILE] [--tasks K]\n");
     return 2;
   }
   Recorder::Get().set_traced(args.trace);
-  const bool cluster = args.workload != "replay_local";
+  const bool cluster = args.workload == "replay_cluster" ||
+                       args.workload == "paced_cluster" ||
+                       args.workload == "paced_cluster_32x";
   Pipeline pipeline;
   insight::Status status = BuildPipeline(OptionsFor(args), &pipeline);
   if (!status.ok()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "core/retrieval.h"
 #include "core/system.h"
@@ -39,6 +40,16 @@ std::vector<traffic::BusTrace> FirstMinutes(traffic::TraceGenerator* gen,
   std::vector<traffic::BusTrace> out;
   traffic::BusTrace trace;
   while (gen->Next(&trace) && trace.timestamp < end) out.push_back(trace);
+  return out;
+}
+
+/// The generator's first `count` traces (fewer only if its service ends).
+std::vector<traffic::BusTrace> FirstTraces(traffic::TraceGenerator* gen,
+                                           size_t count) {
+  std::vector<traffic::BusTrace> out;
+  out.reserve(count);
+  traffic::BusTrace trace;
+  while (out.size() < count && gen->Next(&trace)) out.push_back(trace);
   return out;
 }
 
@@ -175,16 +186,37 @@ Status BuildPipeline(const PipelineOptions& options, Pipeline* p) {
     auto load = std::make_shared<Load>();
     traffic::TraceGenerator gen(GeneratorOptions(options, options.seed));
     load->paced = options.paced;
-    load->compression = options.compression;
-    double minutes = options.paced ? options.run_seconds * options.compression / 60.0
-                                   : options.round_minutes;
-    load->traces = FirstMinutes(&gen, minutes);
-    if (load->traces.empty()) return Status::Internal("empty load");
+    const size_t count =
+        options.paced ? static_cast<size_t>(std::lround(options.run_seconds *
+                                                        options.compression *
+                                                        options.num_buses / 20.0))
+                      : options.round_traces;
+    load->traces = FirstTraces(&gen, count);
+    if (load->traces.size() != count) {
+      return Status::Internal("the generator ran out of traces for the load");
+    }
     load->rounds = options.paced
                        ? 1
                        : std::max<int>(1, static_cast<int>(std::lround(
                                               options.run_seconds * options.replay_rate /
-                                              static_cast<double>(load->traces.size()))));
+                                              static_cast<double>(count))));
+    if (options.paced) {
+      // Each trace is due at its timestamp's offset compressed, plus a
+      // jitter of up to one mean gap drawn from the seed. The generator
+      // staggers its reports exactly evenly, and an exactly periodic
+      // schedule locks in phase with the runtime's millisecond timers (see
+      // README.md "Input"); the jitter keeps the order and the rate.
+      const double mean_gap_ns =
+          20e9 / (static_cast<double>(options.num_buses) * options.compression);
+      std::mt19937_64 rng(options.seed ^ 0x9ace5eedULL);
+      std::uniform_real_distribution<double> jitter(0.0, mean_gap_ns);
+      const int64_t ts0 = load->traces.front().timestamp;
+      for (const auto& trace : load->traces) {
+        load->due_offset_ns.push_back(static_cast<int64_t>(
+            static_cast<double>(trace.timestamp - ts0) * 1e3 / options.compression +
+            jitter(rng)));
+      }
+    }
     load->max_pending = options.max_pending;
     int max_vehicle = 0;
     for (const auto& trace : load->traces) {

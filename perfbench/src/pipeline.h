@@ -49,17 +49,21 @@ struct PipelineOptions {
   int num_buses = 911;
   int num_lines = 67;
   int start_hour = 7;
-  double round_minutes = 15;      // replay: one round of the fleet
   double bootstrap_minutes = 10;  // history for the batch bootstrap
   size_t stop_report_samples = 2000;
   size_t window_length = 10;      // Table 6 rules, length-10 windows
   double threshold_s = 1.0;       // Listing 2's s
+  /// Replay: one round is the fleet's first this many traces (about 14.6
+  /// minutes of service; a count, so every seed does the same work).
+  size_t round_traces = 40000;
   /// Closed-loop replay: traces in flight at most, and the rate that sizes
   /// the replay to last about run_seconds (fixed, so the work per run is).
   size_t max_pending = 1024;
-  double replay_rate = 12000;
-  /// Open-loop pacing: Dublin time runs this many times faster.
-  double compression = 64;
+  double replay_rate = 8000;
+  /// Open-loop pacing: Dublin time runs this many times faster, and a run
+  /// feeds the first run_seconds x compression x num_buses / 20 traces
+  /// (one report per bus every 20 s), a count fixed by the options.
+  double compression = 16;
 };
 
 /// A timed set-up call.

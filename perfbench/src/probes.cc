@@ -202,11 +202,7 @@ bool LoadSpout::NextTuple(Collector* collector) {
   if (load.paced) {
     if (next_ >= round_size) return false;
     if (start_ns_ == 0) start_ns_ = now;
-    const int64_t offset_us =
-        load.traces[next_].timestamp - load.traces[0].timestamp;
-    const int64_t due = start_ns_ + static_cast<int64_t>(
-                                        static_cast<double>(offset_us) * 1e3 /
-                                        load.compression);
+    const int64_t due = start_ns_ + load.due_offset_ns[next_];
     if (now < due) {
       // Short naps keep Ack callbacks (delivered on this thread between
       // NextTuple calls) flowing while the schedule waits.

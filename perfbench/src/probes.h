@@ -158,8 +158,8 @@ struct Load {
   int rounds = 1;
   /// Replay: traces in flight (emitted, not yet acked) at most.
   size_t max_pending = 1;
-  /// Paced: trace i is due at start + (ts_i - ts_0) / compression.
-  double compression = 1;
+  /// Paced: trace i is due at start + due_offset_ns[i].
+  std::vector<int64_t> due_offset_ns;
   /// Vehicle-id and timestamp offsets of round r: r * these.
   int64_t round_vehicle_offset = 0;
   int64_t round_time_offset = 0;
